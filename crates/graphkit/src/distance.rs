@@ -7,7 +7,7 @@
 //!
 //! * [`DistanceMatrix`] — the dense `n × n` buffer, computed with one BFS per
 //!   source, fanning the sources out over the available CPU cores with
-//!   `std::thread::scope`.  Convenient up to a few thousand vertices; at
+//!   [`crate::par::ordered_fold`].  Convenient up to a few thousand vertices; at
 //!   `n ≳ 50_000` the `n²` buffer alone is tens of gigabytes.
 //! * [`DistanceBlock`] — a contiguous **block of source rows**
 //!   `[start, start + rows)`, the unit of the sharded evaluation pipeline
@@ -26,6 +26,7 @@
 
 use crate::failure::Adjacency;
 use crate::graph::{Graph, NodeId};
+use crate::par;
 use crate::traversal::{bfs_distances_into, bfs_distances_u8_into, BfsScratch, NARROW_INFINITY};
 use crate::{Dist, INFINITY};
 
@@ -233,6 +234,9 @@ impl Default for DistanceBlock {
     }
 }
 
+/// Sources per chunk of the parallel [`DistanceMatrix::all_pairs`] sweep.
+const ALL_PAIRS_CHUNK: usize = 64;
+
 /// A dense `n × n` matrix of hop distances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
@@ -250,19 +254,11 @@ impl DistanceMatrix {
 
     /// Computes all-pairs distances, parallelising over source vertices.
     ///
-    /// The number of worker threads defaults to `std::thread::available_parallelism`
-    /// and is capped by the number of sources.  Falls back to the sequential
-    /// code for small graphs where thread startup would dominate.
+    /// The number of worker threads defaults to
+    /// [`crate::par::available_threads`]; graphs of at most 64 vertices
+    /// stay on the calling thread.
     pub fn all_pairs(g: &Graph) -> Self {
-        let n = g.num_nodes();
-        let threads = std::thread::available_parallelism()
-            .map(|x| x.get())
-            .unwrap_or(1)
-            .min(n.max(1));
-        if n < 256 {
-            return Self::all_pairs_with_threads(g, 1);
-        }
-        Self::all_pairs_with_threads(g, threads)
+        Self::all_pairs_with_threads(g, par::available_threads())
     }
 
     /// Computes all-pairs distances with an explicit worker count
@@ -271,34 +267,21 @@ impl DistanceMatrix {
     /// any machine.
     pub fn all_pairs_with_threads(g: &Graph, threads: usize) -> Self {
         let n = g.num_nodes();
-        let mut data = vec![INFINITY; n * n];
-        let threads = threads.clamp(1, n.max(1));
-        if threads == 1 {
-            let mut scratch = BfsScratch::with_capacity(n);
-            for (u, row) in data.chunks_mut(n.max(1)).enumerate().take(n) {
-                bfs_distances_into(g, u, &mut scratch, row);
-            }
-            return DistanceMatrix { n, data };
-        }
-        // Split the output buffer into per-source row chunks and hand
-        // contiguous blocks of sources to each worker.
-        let chunk_rows = n.div_ceil(threads);
-        let mut chunks: Vec<&mut [Dist]> = data.chunks_mut(chunk_rows * n).collect();
-        std::thread::scope(|scope| {
-            for (t, chunk) in chunks.iter_mut().enumerate() {
-                let start = t * chunk_rows;
-                scope.spawn(move || {
-                    let mut scratch = BfsScratch::with_capacity(n);
-                    for (i, row) in chunk.chunks_mut(n).enumerate() {
-                        let u = start + i;
-                        if u >= n {
-                            break;
-                        }
-                        bfs_distances_into(g, u, &mut scratch, row);
-                    }
-                });
-            }
-        });
+        let mut data = Vec::with_capacity(n * n);
+        par::ordered_fold(
+            threads,
+            n,
+            ALL_PAIRS_CHUNK,
+            || BfsScratch::with_capacity(n),
+            |scratch, sources, rows: &mut Vec<Dist>| {
+                rows.clear();
+                rows.resize(sources.len() * n, INFINITY);
+                for (u, row) in sources.zip(rows.chunks_mut(n)) {
+                    bfs_distances_into(g, u, scratch, row);
+                }
+            },
+            |_, rows| data.extend_from_slice(rows),
+        );
         DistanceMatrix { n, data }
     }
 

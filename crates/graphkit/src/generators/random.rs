@@ -2,30 +2,101 @@
 
 use crate::builder::GraphBuilder;
 use crate::graph::Graph;
+use crate::par;
 use crate::rng::Xoshiro256;
 use crate::traversal::connected_components;
 
 /// Erdős–Rényi `G(n, p)`: every pair becomes an edge independently with
 /// probability `p`.  May be disconnected; see [`random_connected`] when a
 /// connected instance is required.
+///
+/// The pairs `(u, v)`, `u < v`, are drawn in row-major order, one
+/// [`Xoshiro256::next_u64`] of the seed's stream per pair.  Large `n` draws
+/// on every core: the pair sequence is cut into fixed-size chunks, each chunk
+/// starts at its own offset of the stream ([`Xoshiro256::advance`]), and the
+/// chunks' edges are concatenated in order ([`crate::par`]) — so the edge
+/// list, and with it the graph and its port labeling, is the serial draw
+/// bit for bit at every thread count.
 pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
     assert!(n >= 1);
     assert!((0.0..=1.0).contains(&p), "probability out of range");
     Graph::from_edges(n, &gnp_edges(n, p, seed))
 }
 
+/// Pairs per chunk of the parallel draw: a few milliseconds of sampling,
+/// so graphs below ~1450 vertices are drawn on the calling thread.
+const GNP_CHUNK: usize = 1 << 20;
+
 /// The edge list that [`gnp`] builds from, in generation order.
 fn gnp_edges(n: usize, p: f64, seed: u64) -> Vec<(usize, usize)> {
-    let mut rng = Xoshiro256::new(seed);
+    gnp_edges_with_threads(n, p, seed, par::available_threads(), GNP_CHUNK)
+}
+
+/// [`gnp_edges`] on an explicit worker count and chunk length; the result
+/// depends on neither.
+fn gnp_edges_with_threads(
+    n: usize,
+    p: f64,
+    seed: u64,
+    threads: usize,
+    chunk: usize,
+) -> Vec<(usize, usize)> {
+    let rng = Xoshiro256::new(seed);
+    let pairs = n * (n - 1) / 2;
+    // `gen_bool(p)` is `(x >> 11) · 2^-53 < p` with both sides exact, i.e.
+    // `(x >> 11) < ⌈p · 2^53⌉`: the same draw without the float conversion.
+    let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
     let mut edges = Vec::new();
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p) {
-                edges.push((u, v));
+    par::ordered_fold(
+        threads,
+        pairs,
+        chunk,
+        || (),
+        |_, range, buf: &mut Vec<(usize, usize)>| {
+            buf.clear();
+            let mut rng = rng.clone();
+            rng.advance(range.start as u64);
+            let (mut u, mut v) = pair_at(n, range.start);
+            let mut left = range.len();
+            while left > 0 {
+                let end = n.min(v + left);
+                for w in v..end {
+                    if rng.next_u64() >> 11 < threshold {
+                        buf.push((u, w));
+                    }
+                }
+                left -= end - v;
+                u += 1;
+                v = u + 1;
             }
+        },
+        // One push at a time, so `edges` grows through the capacities of
+        // the serial draw (see the cluster fold of the landmark build).
+        |_, buf| {
+            for &e in buf.iter() {
+                edges.push(e);
+            }
+        },
+    );
+    edges
+}
+
+/// The pair at row-major index `i` of `{ (u, v) : u < v < n }`
+/// (`i < n(n − 1)/2`).
+fn pair_at(n: usize, i: usize) -> (usize, usize) {
+    // Row u starts at index u(2n − u − 1)/2; find the last row starting at
+    // or before i.
+    let row_start = |u: usize| u * (2 * n - u - 1) / 2;
+    let (mut lo, mut hi) = (0, n - 1);
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if row_start(mid) <= i {
+            lo = mid;
+        } else {
+            hi = mid;
         }
     }
-    edges
+    (lo, lo + 1 + (i - row_start(lo)))
 }
 
 /// A connected Erdős–Rényi-style graph: draw `G(n, p)` and then add the
@@ -223,6 +294,68 @@ mod tests {
     fn gnp_deterministic_per_seed() {
         assert_eq!(gnp(50, 0.2, 5), gnp(50, 0.2, 5));
         assert_ne!(gnp(50, 0.2, 5), gnp(50, 0.2, 6));
+    }
+
+    /// The plain serial draw: one `gen_bool(p)` per pair, row-major.
+    fn serial_gnp_edges(n: usize, p: f64, seed: u64) -> Vec<(usize, usize)> {
+        let mut rng = Xoshiro256::new(seed);
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(p) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn thread_counts_draw_identical_gnp_edges() {
+        for n in [1usize, 2, 3, 257, 1000] {
+            for p in [0.0, 0.01, 0.3, 1.0] {
+                let serial = serial_gnp_edges(n, p, 42);
+                // Chunks down to one pair on the smallest graphs, at most a
+                // few hundred chunks (boundaries mid-row) on the larger ones.
+                let pairs = n * (n - 1) / 2;
+                for threads in [1, 2, 3, 7] {
+                    for chunk in [1, 7, 64, 4099].map(|c: usize| c.max(pairs / 200)) {
+                        assert_eq!(
+                            gnp_edges_with_threads(n, p, 42, threads, chunk),
+                            serial,
+                            "n = {n}, p = {p}, threads = {threads}, chunk = {chunk}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thread_counts_build_identical_random_connected_graphs() {
+        // The public generators run on every core once the pair count spans
+        // several chunks; the serial draw is the reference.
+        let n = 2000;
+        let p = 4.0 / n as f64;
+        let serial = Graph::from_edges(n, &serial_gnp_edges(n, p, 5));
+        assert_eq!(gnp(n, p, 5), serial);
+        let conn = random_connected(n, p, 5);
+        for (u, v) in serial.edges() {
+            assert!(conn.has_edge(u, v));
+        }
+    }
+
+    #[test]
+    fn pair_index_round_trips() {
+        for n in [2usize, 3, 10, 257] {
+            let mut i = 0;
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    assert_eq!(pair_at(n, i), (u, v), "n = {n}, i = {i}");
+                    i += 1;
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   ([`traversal::bfs_from_sources_into`]) and pruned/bounded BFS
 //!   ([`traversal::bfs_bounded_into`]) for landmark-style sparse scheme
 //!   construction,
+//! * one ordered parallel fold ([`par`]) behind every parallel phase, so
+//!   results are bit-identical at every thread count,
 //! * all-pairs shortest-path distances ([`distance`]), computed in parallel —
 //!   dense ([`DistanceMatrix`]) or sharded into block-streamed source rows
 //!   ([`DistanceBlock`]) so sweeps scale past what one `n²` allocation can
@@ -55,6 +57,7 @@ pub mod failure;
 pub mod generators;
 pub mod graph;
 pub mod io;
+pub mod par;
 pub mod properties;
 pub mod rng;
 pub mod traversal;

@@ -7,6 +7,8 @@
 //! SplitMix64, which is the standard, well-tested seeding procedure for the
 //! xoshiro family.  No external dependency is needed.
 
+use std::sync::OnceLock;
+
 /// SplitMix64 step, used to expand a 64-bit seed into the xoshiro state.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -15,6 +17,67 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The linear state transition of xoshiro256** (the part of
+/// [`Xoshiro256::next_u64`] that does not compute the output).
+#[inline]
+fn step(mut s: [u64; 4]) -> [u64; 4] {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    s
+}
+
+/// A linear map of the 256-bit state, stored by columns: column `j` is the
+/// image of the state with only bit `j` set (bit `j` is bit `j % 64` of word
+/// `j / 64`).
+type BitMatrix = [[u64; 4]; 256];
+
+/// Applies `m` to the state `v`: the XOR of the columns of `v`'s set bits.
+fn apply(m: &BitMatrix, v: [u64; 4]) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    for (w, &word) in v.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let col = &m[w * 64 + bits.trailing_zeros() as usize];
+            for (o, c) in out.iter_mut().zip(col) {
+                *o ^= c;
+            }
+            bits &= bits - 1;
+        }
+    }
+    out
+}
+
+/// `T^(2^i)` for the transition `T` of [`step`], built on first use by
+/// squaring `T^(2^(i-1))`.  Untouched powers cost no resident memory.
+fn jump_power(i: usize) -> &'static BitMatrix {
+    static POWERS: [OnceLock<BitMatrix>; 64] = [const { OnceLock::new() }; 64];
+    let mut m = POWERS[0].get_or_init(|| {
+        let mut t = [[0u64; 4]; 256];
+        for (j, col) in t.iter_mut().enumerate() {
+            let mut e = [0u64; 4];
+            e[j / 64] = 1 << (j % 64);
+            *col = step(e);
+        }
+        t
+    });
+    for power in &POWERS[1..=i] {
+        let half = m;
+        m = power.get_or_init(|| {
+            let mut sq = [[0u64; 4]; 256];
+            for (col, h) in sq.iter_mut().zip(half) {
+                *col = apply(half, *h);
+            }
+            sq
+        });
+    }
+    m
 }
 
 /// xoshiro256** pseudo-random generator.
@@ -50,14 +113,26 @@ impl Xoshiro256 {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        self.s = step(self.s);
         result
+    }
+
+    /// Skips `steps` outputs: afterwards the generator is exactly where
+    /// `steps` calls of [`Xoshiro256::next_u64`] would have left it.
+    ///
+    /// The state transition of xoshiro256** is linear over GF(2), so `steps`
+    /// transitions are the 256 × 256 bit matrix `T^steps`.  It is applied as
+    /// the product of the cached powers `T^(2^i)` for the set bits of `steps`
+    /// — at most 64 matrix–vector products, microseconds once the powers
+    /// exist (each costs one matrix squaring on first use, per process).
+    /// This is what lets a parallel sampler start every chunk at its own
+    /// offset of one seed's stream and still draw exactly the serial sample.
+    pub fn advance(&mut self, steps: u64) {
+        for i in 0..64 {
+            if steps >> i & 1 == 1 {
+                self.s = apply(jump_power(i), self.s);
+            }
+        }
     }
 
     /// Returns the next 32 random bits.
@@ -282,6 +357,30 @@ mod tests {
         // Parent and child should not be producing the same stream.
         let same = (0..64).filter(|_| a.next_u64() == ca.next_u64()).count();
         assert!(same < 4);
+    }
+
+    #[test]
+    fn advance_equals_repeated_next_u64() {
+        for steps in [0u64, 1, 63, 64, 65, 1000, (1 << 20) + 7] {
+            let mut jumped = Xoshiro256::new(2024);
+            jumped.advance(steps);
+            let mut walked = Xoshiro256::new(2024);
+            for _ in 0..steps {
+                walked.next_u64();
+            }
+            assert_eq!(jumped.s, walked.s, "advance({steps})");
+            assert_eq!(jumped.next_u64(), walked.next_u64());
+        }
+    }
+
+    #[test]
+    fn advance_composes() {
+        let mut a = Xoshiro256::new(7);
+        a.advance(1 << 40);
+        a.advance(12345);
+        let mut b = Xoshiro256::new(7);
+        b.advance((1 << 40) + 12345);
+        assert_eq!(a.s, b.s);
     }
 
     #[test]

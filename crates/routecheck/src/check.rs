@@ -21,7 +21,7 @@
 //!   [`SourceClass::HeaderOverflow`].
 
 use graphkit::traversal::bfs_distances_into;
-use graphkit::{BfsScratch, Dist, GraphView, NodeId, INFINITY};
+use graphkit::{par, BfsScratch, Dist, GraphView, NodeId, INFINITY};
 use routemodel::{default_hop_limit, Action, Header, RoutingFunction};
 
 /// The statically determined fate of one `(source, dest)` pair.
@@ -378,59 +378,50 @@ impl CheckReport {
     }
 }
 
-/// Sweeps every destination of the view, sharding destinations across
-/// `threads` scoped workers with contiguous chunks and per-worker
-/// [`Checker`] scratch.  The fold is in destination order — per-destination
-/// summaries do not depend on the sharding — so the report is bit-identical
-/// for every thread count.
+/// Destinations per chunk of a [`check_routing`] sweep.
+const DEST_CHUNK: usize = 16;
+
+/// Sweeps every destination of the view on up to `threads` workers, each
+/// with its own [`Checker`] scratch, through [`graphkit::par::ordered_fold`].
+/// The fold is in destination order — per-destination summaries do not
+/// depend on the sharding — so the report is bit-identical for every thread
+/// count.
 pub fn check_routing<R: RoutingFunction + Sync + ?Sized>(
     view: GraphView<'_>,
     r: &R,
     threads: usize,
 ) -> CheckReport {
     let n = view.num_nodes();
-    let t = threads.clamp(1, n.max(1));
-    let mut chunks: Vec<(ClassCounts, Option<Counterexample>)> = Vec::with_capacity(t);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..t)
-            .map(|i| {
-                let lo = i * n / t;
-                let hi = (i + 1) * n / t;
-                scope.spawn(move || {
-                    let mut checker = Checker::new();
-                    let mut counts = ClassCounts::default();
-                    let mut cex = None;
-                    for d in lo..hi {
-                        let rep = checker.check_dest(view, r, d);
-                        counts.merge(&rep.counts);
-                        if cex.is_none() {
-                            if let Some((s, c)) = rep.first_broken {
-                                cex = Some(Counterexample {
-                                    source: s,
-                                    dest: d,
-                                    class: c,
-                                });
-                            }
-                        }
-                    }
-                    (counts, cex)
-                })
-            })
-            .collect();
-        for h in handles {
-            chunks.push(h.join().expect("sweep worker panicked"));
-        }
-    });
     let mut counts = ClassCounts::default();
     let mut counterexample = None;
-    // Chunks are contiguous destination ranges in ascending order: the first
-    // chunk with a witness holds the globally first one.
-    for (c, cex) in &chunks {
-        counts.merge(c);
-        if counterexample.is_none() {
-            counterexample = *cex;
-        }
-    }
+    par::ordered_fold(
+        threads,
+        n,
+        DEST_CHUNK,
+        Checker::new,
+        |checker, dests, summary: &mut (ClassCounts, Option<Counterexample>)| {
+            *summary = (ClassCounts::default(), None);
+            for d in dests {
+                let rep = checker.check_dest(view, r, d);
+                summary.0.merge(&rep.counts);
+                if summary.1.is_none() {
+                    summary.1 = rep.first_broken.map(|(s, c)| Counterexample {
+                        source: s,
+                        dest: d,
+                        class: c,
+                    });
+                }
+            }
+        },
+        // Chunks arrive in ascending destination order: the first chunk
+        // with a witness holds the globally first one.
+        |_, (c, cex)| {
+            counts.merge(c);
+            if counterexample.is_none() {
+                counterexample = *cex;
+            }
+        },
+    );
     CheckReport {
         counts,
         counterexample,

@@ -12,10 +12,10 @@
 //! [`SourceClass::WrongDelivery`], or [`SourceClass::Unreachable`] (no live
 //! path exists, so the pair is excluded from the verdict).
 //!
-//! The sweep is exact, deterministic, and parallel: destinations shard
-//! across scoped threads in contiguous chunks, per-worker [`Checker`]
-//! scratch keeps the hot path allocation-free, and the fold is in
-//! destination order so results are bit-identical for every thread count.
+//! The sweep is exact, deterministic, and parallel: chunks of destinations
+//! go to workers through `graphkit::par::ordered_fold`, per-worker
+//! [`Checker`] scratch keeps the hot path allocation-free, and the fold is
+//! in destination order so results are bit-identical for every thread count.
 //!
 //! On top of the sweep, [`verify_instance`] combines the per-scheme
 //! structural table audits (`SchemeInstance::audit`) with the all-pairs walk

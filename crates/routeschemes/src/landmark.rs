@@ -60,29 +60,123 @@
 //! enumerates exactly the cluster, in `O(Σ_w vol(S(w)))` expected.  The
 //! strict rule's handoff tables cost one more pruned BFS per *landmark* (the
 //! inclusive-bound traversal reports exactly the home set with the dense
-//! first shortest-path ports).  The result is **bit-identical** to the dense
+//! first shortest-path ports).
+//!
+//! The three per-landmark and per-vertex phases run on every core through
+//! [`graphkit::par::ordered_fold`]: workers take chunks of landmarks or
+//! routers from a shared cursor, and the calling thread folds the chunks in
+//! order.  Landmark chunks are contiguous blocks of the column-major
+//! distance table, and their ports are copied into the row-major port table
+//! router by router; router chunks arrive sorted and are appended straight
+//! to the cluster CSR, so no second copy of it is ever held and only a few
+//! chunks are in flight at once.  The only serial steps left are the
+//! connectivity BFS, the multi-source BFS and the folds.
+//!
+//! Before any table is allocated the build checks that `n` fits the `u32`
+//! vertex ids and that the `n × k` tables fit the address space; the fold
+//! builds the `u32` CSR offsets with checked arithmetic.  Overflow is
+//! [`BuildError::TooLarge`] from [`LandmarkScheme`]'s `try_build`, never a
+//! wrapped index.
+//!
+//! The result is **bit-identical** at every thread count and to the dense
 //! reference builder [`LandmarkRouting::build_dense_with`] (kept for
 //! equivalence tests and the `landmark_build` bench): the multi-source BFS
-//! claims each vertex for the smallest-id nearest landmark, and the
-//! port-order BFS reports the first shortest-path port, exactly as the dense
-//! scans do.  This is what lets the scheme join the `n ≥ 10^5` trafficlab
-//! scenarios at stretch `< 3`.
+//! claims each vertex for the smallest-id nearest landmark, the port-order
+//! BFS reports the first shortest-path port, exactly as the dense scans do,
+//! and the ordered fold reproduces the serial layout.  This is what lets the
+//! scheme join the `n ≥ 10^5` trafficlab scenarios at stretch `< 3`.
 
 use crate::scheme::{BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance};
 use graphkit::traversal::bfs_distances_into;
 use graphkit::{
-    bfs_ball_into, bfs_bounded_into, bfs_from_sources_into, Adjacency, BfsScratch,
+    bfs_ball_into, bfs_bounded_into, bfs_from_sources_into, par, Adjacency, BfsScratch,
     BoundedBfsScratch, Dist, DistanceMatrix, FailureSet, Graph, GraphView, NodeId, Port,
     Xoshiro256, INFINITY,
 };
 use routemodel::coding::bits_for_values;
 use routemodel::{Action, Header, MemoryReport, RoutingFunction};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Sentinel in the flat toward-landmark table: "this router *is* the
 /// landmark" (no port exists; a valid header never asks for it).
 const NO_PORT: u32 = u32::MAX;
+
+/// The scheme name carried by its [`BuildError`]s.
+const NAME: &str = "landmark-routing";
+
+/// Landmarks per chunk of the parallel per-landmark phases: one BFS of the
+/// whole graph each, so a chunk holds `8·n·LANDMARK_CHUNK` bytes of columns
+/// and ports in flight.
+const LANDMARK_CHUNK: usize = 1;
+
+/// Routers per chunk of the parallel cluster phase: enough pruned BFS to
+/// dwarf the hand-off, few enough entries in flight to leave peak memory
+/// where the serial build had it.
+const ROUTER_CHUNK: usize = 16;
+
+/// Graphs below this many vertices build on the calling thread: measured on
+/// random graphs of average degree 8, thread start-up costs more than the
+/// parallel phases save below ~512 vertices.
+const PARALLEL_MIN_VERTICES: usize = 512;
+
+/// The worker count the public builders use on an `n`-vertex graph.
+fn build_threads(n: usize) -> usize {
+    if n < PARALLEL_MIN_VERTICES {
+        1
+    } else {
+        par::available_threads()
+    }
+}
+
+/// One chunk of routers' cluster entries `(target, dist, port)`, sorted per
+/// router, in CSR order.
+#[derive(Debug, Default)]
+struct ClusterChunk {
+    /// Entries per router.
+    lens: Vec<usize>,
+    entries: Vec<(u32, Dist, u32)>,
+}
+
+/// Checks, before anything is allocated, that `n` vertices fit the `u32`
+/// vertex ids of the cluster CSR and that the two `n × k` tables of `u32`
+/// cells fit the address space.
+fn check_table_sizes(n: usize, k: usize) -> Result<(), BuildError> {
+    if u32::try_from(n).is_err() {
+        return Err(BuildError::TooLarge {
+            scheme: NAME,
+            table: "vertex ids",
+            limit: u64::from(u32::MAX),
+        });
+    }
+    let max_cells = isize::MAX as usize / std::mem::size_of::<u32>();
+    match n.checked_mul(k) {
+        Some(cells) if cells <= max_cells => Ok(()),
+        _ => Err(BuildError::TooLarge {
+            scheme: NAME,
+            table: "n x k landmark tables",
+            limit: max_cells as u64,
+        }),
+    }
+}
+
+/// Appends the CSR end offsets of routers holding `lens` entries each, with
+/// checked `u32` arithmetic: a cluster table past `u32::MAX` entries is a
+/// typed error, never a wrapped offset.
+fn append_offsets(offsets: &mut Vec<u32>, lens: &[usize]) -> Result<(), BuildError> {
+    let mut end = *offsets.last().expect("CSR offsets start with 0");
+    for &len in lens {
+        end = u32::try_from(len)
+            .ok()
+            .and_then(|len| end.checked_add(len))
+            .ok_or(BuildError::TooLarge {
+                scheme: NAME,
+                table: "cluster CSR",
+                limit: u64::from(u32::MAX),
+            })?;
+        offsets.push(end);
+    }
+    Ok(())
+}
 
 /// The seed the registry's default landmark spec builds with (kept from the
 /// pre-spec registry so existing scenario reports stay bit-identical).
@@ -166,7 +260,8 @@ impl LandmarkConfig {
 /// the routing function is rule-agnostic.
 #[derive(Debug, Clone)]
 pub struct LandmarkRouting {
-    /// The sampled landmark set, ascending.
+    /// The sampled landmark set, ascending — a landmark's index is its
+    /// position, found by binary search.
     landmarks: Vec<NodeId>,
     /// Home landmark of every vertex (smallest-id nearest landmark).
     home: Vec<NodeId>,
@@ -174,8 +269,6 @@ pub struct LandmarkRouting {
     /// of `w` on a shortest path to landmark `i` ([`NO_PORT`] when `w` is
     /// that landmark).
     toward_landmark: Vec<u32>,
-    /// Landmark id → landmark index.
-    landmark_index: HashMap<NodeId, usize>,
     /// CSR offsets into `direct_targets`/`direct_ports`, one slice per
     /// router.
     direct_offsets: Vec<u32>,
@@ -217,7 +310,6 @@ impl PartialEq for LandmarkRouting {
         self.landmarks == other.landmarks
             && self.home == other.home
             && self.toward_landmark == other.toward_landmark
-            && self.landmark_index == other.landmark_index
             && self.direct_offsets == other.direct_offsets
             && self.direct_targets == other.direct_targets
             && self.direct_ports == other.direct_ports
@@ -262,13 +354,33 @@ impl LandmarkRouting {
     /// bit-identical to `build_on_view` of the masked view.  Panics when the
     /// view is disconnected.
     pub fn build_on_view(view: GraphView<'_>, cfg: &LandmarkConfig) -> Self {
+        Self::try_build_on_view_with_threads(view, cfg, build_threads(view.num_nodes()))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The sparse construction on `threads` workers (the result does not
+    /// depend on `threads`), with every failure typed: a bad config, an
+    /// empty or disconnected view, or tables too large for their index
+    /// width.  The size guards run before any table is allocated.
+    pub(crate) fn try_build_on_view_with_threads(
+        view: GraphView<'_>,
+        cfg: &LandmarkConfig,
+        threads: usize,
+    ) -> Result<Self, BuildError> {
         let n = view.num_nodes();
-        assert!(n >= 1);
-        if let Err(e) = cfg.validate() {
-            panic!("landmark config: {e}");
+        cfg.validate().map_err(|reason| BuildError::InvalidConfig {
+            scheme: NAME,
+            reason,
+        })?;
+        if n == 0 {
+            return Err(BuildError::NotApplicable {
+                scheme: NAME,
+                reason: "empty graph".into(),
+            });
         }
         let k = cfg.landmark_count(n);
-        let (landmarks, landmark_index) = Self::sample_landmarks(n, k, cfg.seed);
+        check_table_sizes(n, k)?;
+        let landmarks = Self::sample_landmarks(n, k, cfg.seed);
         let mut scratch = BfsScratch::with_capacity(n);
         let mut dist_l = vec![0 as Dist; n];
 
@@ -278,10 +390,9 @@ impl LandmarkRouting {
         // sampled in two components every vertex still reaches *some*
         // landmark.
         bfs_distances_into(view, landmarks[0], &mut scratch, &mut dist_l);
-        assert!(
-            dist_l.iter().all(|&d| d != INFINITY),
-            "landmark routing requires a connected graph"
-        );
+        if dist_l.contains(&INFINITY) {
+            return Err(BuildError::Disconnected { scheme: NAME });
+        }
 
         // Home landmark and distance to the landmark set, in one BFS.
         let mut dist_to_set = vec![INFINITY; n];
@@ -295,26 +406,43 @@ impl LandmarkRouting {
         );
         let home: Vec<NodeId> = origin.iter().map(|&o| o as usize).collect();
 
-        // Distance and port towards every landmark: one BFS per landmark
-        // (straight into the column of `toward_dist`), then a scan of every
-        // live arc — O(k (n + m)) total.
+        // Distance and port towards every landmark: one BFS per landmark,
+        // then a scan of every live arc — O(k (n + m)) total.  A chunk of
+        // landmarks is a contiguous block of the column-major `toward_dist`;
+        // its ports come back router-major, so the fold writes each router's
+        // run of the row-major `toward_landmark` in one copy.
         let mut toward_dist = vec![0 as Dist; n * k];
         let mut toward_landmark = vec![NO_PORT; n * k];
-        for (i, &l) in landmarks.iter().enumerate() {
-            let col = &mut toward_dist[i * n..(i + 1) * n];
-            bfs_distances_into(view, l, &mut scratch, col);
-            for w in 0..n {
-                if w == l {
-                    continue;
+        par::ordered_fold(
+            threads,
+            k,
+            LANDMARK_CHUNK,
+            || BfsScratch::with_capacity(n),
+            |scratch, ids, (cols, ports): &mut (Vec<Dist>, Vec<u32>)| {
+                let len = ids.len();
+                cols.clear();
+                cols.resize(len * n, 0);
+                ports.clear();
+                ports.resize(n * len, NO_PORT);
+                for (j, &l) in landmarks[ids].iter().enumerate() {
+                    let col = &mut cols[j * n..(j + 1) * n];
+                    bfs_distances_into(view, l, scratch, col);
+                    for w in (0..n).filter(|&w| w != l) {
+                        ports[w * len + j] = min_tight_port(view, col, w, col[w])
+                            .expect("connected graph: some neighbour is closer to the landmark");
+                    }
                 }
-                let dwl = col[w];
-                let port = min_tight_port(view, col, w, dwl)
-                    .expect("connected graph: some neighbour is closer to the landmark");
-                toward_landmark[w * k + i] = port;
-            }
-        }
-
-        let mut bounded = BoundedBfsScratch::with_capacity(n);
+            },
+            |ids, (cols, ports)| {
+                toward_dist[ids.start * n..ids.end * n].copy_from_slice(cols);
+                for (row, run) in toward_landmark
+                    .chunks_exact_mut(k)
+                    .zip(ports.chunks_exact(ids.len()))
+                {
+                    row[ids.clone()].copy_from_slice(run);
+                }
+            },
+        );
 
         // Strict rule only: the handoff table of each landmark, harvested by
         // one pruned BFS per landmark with the *inclusive* bound — its visit
@@ -324,15 +452,25 @@ impl LandmarkRouting {
         // scan.
         let mut handoff: Vec<Vec<(u32, Dist, u32)>> = Vec::new();
         if cfg.cluster_rule == ClusterRule::Strict {
-            handoff = vec![Vec::new(); k];
-            for (i, &l) in landmarks.iter().enumerate() {
-                let list = &mut handoff[i];
-                bfs_bounded_into(view, l, &dist_to_set, &mut bounded, |v, d, p| {
-                    if home[v] == l {
-                        list.push((v as u32, d, p as u32));
+            par::ordered_fold(
+                threads,
+                k,
+                LANDMARK_CHUNK,
+                || BoundedBfsScratch::with_capacity(n),
+                |bounded, ids, lists: &mut Vec<Vec<(u32, Dist, u32)>>| {
+                    lists.clear();
+                    for &l in &landmarks[ids] {
+                        let mut list = Vec::new();
+                        bfs_bounded_into(view, l, &dist_to_set, bounded, |v, d, p| {
+                            if home[v] == l {
+                                list.push((v as u32, d, p as u32));
+                            }
+                        });
+                        lists.push(list);
                     }
-                });
-            }
+                },
+                |_, lists| handoff.append(lists),
+            );
         }
 
         // Clusters by pruned BFS.  Inclusive: S(w) = { v != w : d(w, v) <=
@@ -340,43 +478,68 @@ impl LandmarkRouting {
         // i.e. bounded by d(·, L) - 1 — still downward-closed (d(·, L) is
         // 1-Lipschitz along edges, so any vertex on a shortest path to a
         // strict member is itself strict), so the traversal still only walks
-        // the cluster and its boundary.
-        let bound: Vec<Dist> = match cfg.cluster_rule {
-            ClusterRule::Inclusive => dist_to_set.clone(),
-            ClusterRule::Strict => dist_to_set.iter().map(|&d| d.saturating_sub(1)).collect(),
+        // the cluster and its boundary.  Chunks of routers are sorted by the
+        // workers and appended by the fold straight into the CSR.
+        let strict_bound: Vec<Dist>;
+        let bound: &[Dist] = match cfg.cluster_rule {
+            ClusterRule::Inclusive => &dist_to_set,
+            ClusterRule::Strict => {
+                strict_bound = dist_to_set.iter().map(|&d| d.saturating_sub(1)).collect();
+                &strict_bound
+            }
         };
-        let mut members: Vec<(u32, Dist, u32)> = Vec::new();
-        let mut direct_offsets = vec![0u32; n + 1];
+        let mut direct_offsets = Vec::with_capacity(n + 1);
+        direct_offsets.push(0u32);
         let mut direct_targets: Vec<u32> = Vec::new();
         let mut direct_dists: Vec<Dist> = Vec::new();
         let mut direct_ports: Vec<u32> = Vec::new();
-        for w in 0..n {
-            members.clear();
-            bfs_bounded_into(view, w, &bound, &mut bounded, |v, d, p| {
-                members.push((v as u32, d, p as u32));
-            });
-            if let Some(&i) = landmark_index.get(&w) {
-                if cfg.cluster_rule == ClusterRule::Strict {
-                    // The handoff set { v : home[v] = w } is disjoint from
-                    // the strict cluster (its members sit exactly at
-                    // d(w, v) = d(v, L)), so this is a merge, not a dedup.
-                    members.extend_from_slice(&handoff[i]);
+        par::try_ordered_fold(
+            threads,
+            n,
+            ROUTER_CHUNK,
+            || (BoundedBfsScratch::with_capacity(n), Vec::new()),
+            |(bounded, members), routers, chunk: &mut ClusterChunk| {
+                chunk.lens.clear();
+                chunk.entries.clear();
+                for w in routers {
+                    members.clear();
+                    bfs_bounded_into(view, w, bound, bounded, |v, d, p| {
+                        members.push((v as u32, d, p as u32));
+                    });
+                    if cfg.cluster_rule == ClusterRule::Strict {
+                        if let Ok(i) = landmarks.binary_search(&w) {
+                            // The handoff set { v : home[v] = w } is disjoint
+                            // from the strict cluster (its members sit
+                            // exactly at d(w, v) = d(v, L)), so this is a
+                            // merge, not a dedup.
+                            members.extend_from_slice(&handoff[i]);
+                        }
+                    }
+                    members.sort_unstable();
+                    chunk.lens.push(members.len());
+                    chunk.entries.extend_from_slice(members);
                 }
-            }
-            members.sort_unstable();
-            direct_offsets[w + 1] = direct_offsets[w] + members.len() as u32;
-            for &(v, d, p) in &members {
-                direct_targets.push(v);
-                direct_dists.push(d);
-                direct_ports.push(p);
-            }
-        }
+            },
+            |_, chunk| {
+                append_offsets(&mut direct_offsets, &chunk.lens)?;
+                // One push at a time, not `extend_from_slice`: the arrays
+                // then grow through the capacities a serial build gives
+                // them, and the allocator keeps them where it did.  Bulk
+                // appends grew them to other sizes and left ~9 MB more
+                // resident after three builds at n = 16384.
+                for &(v, d, p) in &chunk.entries {
+                    direct_targets.push(v);
+                    direct_dists.push(d);
+                    direct_ports.push(p);
+                }
+                Ok(())
+            },
+        )?;
 
-        LandmarkRouting {
+        Ok(LandmarkRouting {
             landmarks,
             home,
             toward_landmark,
-            landmark_index,
             direct_offsets,
             direct_targets,
             direct_ports,
@@ -384,8 +547,8 @@ impl LandmarkRouting {
             dist_to_set,
             toward_dist,
             direct_dists,
-            name: "landmark-routing".to_string(),
-        }
+            name: NAME.to_string(),
+        })
     }
 
     /// Dense reference builder for the default config: identical output to
@@ -417,7 +580,7 @@ impl LandmarkRouting {
             "landmark routing requires a connected graph"
         );
         let k = cfg.landmark_count(n);
-        let (landmarks, landmark_index) = Self::sample_landmarks(n, k, cfg.seed);
+        let landmarks = Self::sample_landmarks(n, k, cfg.seed);
 
         // Home landmark and distance to the landmark set.
         let mut home = vec![0usize; n];
@@ -483,7 +646,6 @@ impl LandmarkRouting {
             landmarks,
             home,
             toward_landmark,
-            landmark_index,
             direct_offsets,
             direct_targets,
             direct_ports,
@@ -491,17 +653,16 @@ impl LandmarkRouting {
             dist_to_set,
             toward_dist,
             direct_dists,
-            name: "landmark-routing".to_string(),
+            name: NAME.to_string(),
         }
     }
 
-    /// Samples `k` landmarks (ascending) and their index map.
-    fn sample_landmarks(n: usize, k: usize, seed: u64) -> (Vec<NodeId>, HashMap<NodeId, usize>) {
+    /// Samples `k` landmarks, ascending.
+    fn sample_landmarks(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
         let mut rng = Xoshiro256::new(seed);
         let mut landmarks = rng.sample_indices(n, k.min(n));
         landmarks.sort_unstable();
-        let index = landmarks.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        (landmarks, index)
+        landmarks
     }
 
     /// Incrementally repairs the instance after link failures: the result is
@@ -563,13 +724,7 @@ impl LandmarkRouting {
         // (distances may shrink — the decremental machinery does not apply).
         let nested = failures.is_superset_of(adapted_to);
         if self.config.cluster_rule == ClusterRule::Strict || !nested {
-            if !graphkit::traversal::is_connected(view) {
-                return Err(BuildError::Disconnected {
-                    scheme: "landmark-routing",
-                });
-            }
-            let cfg = self.config.clone();
-            *self = Self::build_on_view(view, &cfg);
+            *self = Self::try_build_on_view_with_threads(view, &self.config, build_threads(n))?;
             return Ok(RepairOutcome {
                 vertices_touched: n,
                 landmarks_rebuilt: k,
@@ -1222,7 +1377,7 @@ impl LandmarkRouting {
     }
 
     /// Structural audit of the stored tables against `g`: landmark set
-    /// ascending/unique/indexed, homes pointing at landmarks, the
+    /// ascending/unique/in range, homes pointing at landmarks, the
     /// toward-landmark matrix shaped `n × k` with `NO_PORT` exactly on the
     /// diagonal landmarks, cluster CSR offsets monotone with members sorted
     /// and deduped, every stored port below the router's degree.  Returns
@@ -1234,16 +1389,13 @@ impl LandmarkRouting {
         if !self.landmarks.windows(2).all(|w| w[0] < w[1]) {
             f.push("landmark set is not strictly ascending".to_string());
         }
-        for (i, &l) in self.landmarks.iter().enumerate() {
+        for &l in &self.landmarks {
             if l >= n {
                 f.push(format!("landmark {l} out of range for {n} vertices"));
             }
-            if self.landmark_index.get(&l) != Some(&i) {
-                f.push(format!("landmark_index of {l} disagrees with position {i}"));
-            }
         }
         for (v, &h) in self.home.iter().enumerate() {
-            if !self.landmark_index.contains_key(&h) {
+            if self.landmarks.binary_search(&h).is_err() {
                 f.push(format!("home of {v} ({h}) is not a landmark"));
             }
         }
@@ -1317,7 +1469,10 @@ impl LandmarkRouting {
             self.direct_ports[lo + e] = port;
             return format!("cluster entry of router {v} for destination {dest}");
         }
-        let idx = self.landmark_index[&self.home[dest]];
+        let idx = self
+            .landmarks
+            .binary_search(&self.home[dest])
+            .expect("the home of every vertex is a landmark");
         self.toward_landmark[v * self.landmarks.len() + idx] = port;
         format!(
             "toward-landmark entry of router {v} for landmark {}",
@@ -1411,7 +1566,7 @@ impl RoutingFunction for LandmarkRouting {
         let Some(&home) = header.data.first() else {
             return Action::Deliver;
         };
-        let Some(&idx) = self.landmark_index.get(&(home as usize)) else {
+        let Ok(idx) = self.landmarks.binary_search(&(home as usize)) else {
             return Action::Deliver;
         };
         let p = self.toward_landmark[node * self.landmarks.len() + idx];
@@ -1471,24 +1626,11 @@ impl CompactScheme for LandmarkScheme {
     }
 
     fn try_build(&self, g: &Graph, _hints: &GraphHints) -> Result<SchemeInstance, BuildError> {
-        if let Err(reason) = self.config.validate() {
-            return Err(BuildError::InvalidConfig {
-                scheme: "landmark-routing",
-                reason,
-            });
-        }
-        if g.num_nodes() == 0 {
-            return Err(BuildError::NotApplicable {
-                scheme: "landmark-routing",
-                reason: "empty graph".into(),
-            });
-        }
-        if !graphkit::traversal::is_connected(g) {
-            return Err(BuildError::Disconnected {
-                scheme: "landmark-routing",
-            });
-        }
-        let routing = LandmarkRouting::build_with(g, &self.config);
+        let routing = LandmarkRouting::try_build_on_view_with_threads(
+            GraphView::full(g),
+            &self.config,
+            build_threads(g.num_nodes()),
+        )?;
         let memory = routing.memory(g);
         Ok(SchemeInstance::new(Box::new(routing), memory, Some(3.0)))
     }
@@ -1606,6 +1748,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn thread_counts_build_identical_instances() {
+        let (theorem1, _) = constraints::theorem1::build_worst_case_instance(256, 0.5, 3);
+        for (g, seed) in [
+            (generators::random_connected(300, 0.02, 3), 21u64),
+            (generators::grid(13, 17), 22),
+            (theorem1.graph, 23),
+        ] {
+            for rule in [ClusterRule::Inclusive, ClusterRule::Strict] {
+                let cfg = LandmarkConfig {
+                    cluster_rule: rule,
+                    seed,
+                    ..LandmarkConfig::default()
+                };
+                let dense = LandmarkRouting::build_dense_with(&g, &cfg);
+                for threads in [1, 2, 3, 7] {
+                    let built = LandmarkRouting::try_build_on_view_with_threads(
+                        GraphView::full(&g),
+                        &cfg,
+                        threads,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        built,
+                        dense,
+                        "n = {}, {rule:?}, threads = {threads}",
+                        g.num_nodes()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn size_guards_reject_oversized_tables_before_allocating() {
+        assert!(check_table_sizes(65536, 256).is_ok());
+        for (n, k) in [
+            (1usize << 32, 1usize),
+            (u32::MAX as usize, u32::MAX as usize),
+            (1 << 31, 1 << 31),
+        ] {
+            let err = check_table_sizes(n, k).unwrap_err();
+            assert_eq!(err.code(), "too_large", "n = {n}, k = {k}");
+        }
+
+        let mut offsets = vec![0u32];
+        append_offsets(&mut offsets, &[3, 0, 5]).unwrap();
+        assert_eq!(offsets, [0, 3, 3, 8]);
+        let mut offsets = vec![u32::MAX - 4];
+        let err = append_offsets(&mut offsets, &[4, 1]).unwrap_err();
+        assert!(matches!(err, BuildError::TooLarge { .. }), "{err}");
+        assert_eq!(offsets, [u32::MAX - 4, u32::MAX]);
+        let mut offsets = vec![0u32];
+        assert!(append_offsets(&mut offsets, &[u32::MAX as usize + 1]).is_err());
     }
 
     #[test]

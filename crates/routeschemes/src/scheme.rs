@@ -84,6 +84,14 @@ pub enum BuildError {
         limit: u64,
         measured: u64,
     },
+    /// A table the scheme needs would not fit its index width or the
+    /// address space (e.g. more than `u32::MAX` entries behind `u32` CSR
+    /// offsets).  Detected before the table is built, never by wrapping.
+    TooLarge {
+        scheme: &'static str,
+        table: &'static str,
+        limit: u64,
+    },
 }
 
 impl BuildError {
@@ -96,6 +104,7 @@ impl BuildError {
             BuildError::Disconnected { .. } => "disconnected",
             BuildError::InvalidConfig { .. } => "invalid_config",
             BuildError::CapExceeded { .. } => "cap_exceeded",
+            BuildError::TooLarge { .. } => "too_large",
         }
     }
 }
@@ -126,6 +135,11 @@ impl std::fmt::Display for BuildError {
                     "{scheme}: cap '{cap}' exceeded (limit {limit}, measured {measured})"
                 )
             }
+            BuildError::TooLarge {
+                scheme,
+                table,
+                limit,
+            } => write!(f, "{scheme}: {table} too large (limit {limit} entries)"),
         }
     }
 }
@@ -434,6 +448,52 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("limit 2") && msg.contains("measured 5"));
+    }
+
+    #[test]
+    fn build_error_codes_are_stable() {
+        let errors = [
+            BuildError::NotApplicable {
+                scheme: "s",
+                reason: String::new(),
+            },
+            BuildError::MissingHint {
+                scheme: "s",
+                hint: "h",
+            },
+            BuildError::Disconnected { scheme: "s" },
+            BuildError::InvalidConfig {
+                scheme: "s",
+                reason: String::new(),
+            },
+            BuildError::CapExceeded {
+                scheme: "s",
+                cap: "k",
+                limit: 1,
+                measured: 2,
+            },
+            BuildError::TooLarge {
+                scheme: "s",
+                table: "cluster CSR",
+                limit: 7,
+            },
+        ];
+        let codes: Vec<&str> = errors.iter().map(BuildError::code).collect();
+        assert_eq!(
+            codes,
+            [
+                "not_applicable",
+                "missing_hint",
+                "disconnected",
+                "invalid_config",
+                "cap_exceeded",
+                "too_large"
+            ]
+        );
+        assert_eq!(
+            errors[5].to_string(),
+            "s: cluster CSR too large (limit 7 entries)"
+        );
     }
 
     #[test]
